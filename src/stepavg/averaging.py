@@ -148,10 +148,75 @@ def make_steps(h: float, strategy: StepStrategy) -> StepSequence:
     return steps_lowdiscrepancy(h, strategy.sample_count)
 
 
+# math.fsum over a list of fewer values costs about as much as the
+# integer reduction's fixed ~15 us of numpy calls, so small inputs, such
+# as most single library calls, skip it.
+_EXACT_MIN_N = 1024
+# Values per pass of the integer reduction, so its buffers stay in cache.
+_EXACT_CHUNK = 1 << 15
+
+
+def _exact_sum(values: np.ndarray):
+    """The exact sum of values rounded once, or None where it cannot apply.
+
+    With e_min the binary exponent of the smallest nonzero |value|, each
+    value times 2^(53 - e_min) is an integer-valued float. Its quotient
+    by 2^32, truncated, and the remainder convert to int64 exactly, and n
+    of each sum in int64 without overflow while the exponent span is at
+    most 42 - bit_length(n). Python ints join the two sums, and one
+    correctly rounded conversion gives what math.fsum returns. None means
+    the input is non-finite, all zero, too widely spread, or so large or
+    so small that the sum or its scale leaves the normal range.
+    """
+    n = values.size
+    vmin, vmax = float(values.min()), float(values.max())
+    if vmin > 0.0:
+        amin, amax = vmin, vmax
+    elif vmax < 0.0:
+        amin, amax = -vmax, -vmin
+    else:
+        amax = max(-vmin, vmax)
+        mags = np.abs(values)
+        amin = float(np.min(mags, where=mags > 0.0, initial=math.inf))
+    if not (amax < math.inf and amin < math.inf):
+        return None
+    e_max, e_min = math.frexp(amax)[1], math.frexp(amin)[1]
+    bits = n.bit_length()
+    if (bits > 31 or e_max - e_min > 42 - bits
+            or e_min < -968 or e_max + bits > 1023):
+        return None
+    shift = 53 - e_min
+    scale = 2.0 ** shift
+    width = min(n, _EXACT_CHUNK)
+    scaled, high, ints = np.empty(width), np.empty(width), np.empty(width, np.int64)
+    high_sum = low_sum = 0
+    for start in range(0, n, _EXACT_CHUNK):
+        chunk = values[start:start + _EXACT_CHUNK]
+        k = chunk.size
+        y = np.multiply(chunk, scale, out=scaled[:k])
+        hi = np.multiply(y, 2.0 ** -32, out=high[:k])
+        np.trunc(hi, out=hi)
+        as_int = ints[:k]
+        as_int[...] = hi
+        high_sum += int(as_int.sum())
+        np.multiply(hi, 2.0 ** 32, out=hi)
+        np.subtract(y, hi, out=y)
+        as_int[...] = y
+        low_sum += int(as_int.sum())
+    return math.ldexp(float((high_sum << 32) + low_sum), -shift)
+
+
 def compensated_mean(values: Sequence[float]) -> float:
-    """Mean via exact (error-free) summation; permutation invariant."""
+    """Mean via exact summation rounded once; permutation invariant.
+
+    Bitwise equal to math.fsum(values) / n. Large inputs take an exact
+    integer reduction; small or out-of-range ones take math.fsum itself.
+    """
     values = np.asarray(values, dtype=float)
-    return math.fsum(values) / values.size
+    total = _exact_sum(values) if values.size >= _EXACT_MIN_N else None
+    if total is None:
+        total = math.fsum(values.tolist())
+    return total / values.size
 
 
 def _base_estimator(method: MethodId, qmode: QuadratureMode,
@@ -170,13 +235,16 @@ def averaged_derivative(method: MethodId, f: Callable, x: float, h: float,
     """Average a base estimator over the strategy's step multiset.
 
     The Single strategy returns the base estimate at h itself. For N > 1
-    the mean is formed with compensated summation so the aggregation
-    step does not reintroduce the rounding noise it is meant to remove.
-    Any non-finite single-step estimate aborts with the offending step.
+    the mean is formed with exact summation so the aggregation step does
+    not reintroduce the rounding noise it is meant to remove, and the
+    spread is taken about that mean. Any non-finite single-step estimate,
+    the Single one included, aborts with the offending step.
     """
     estimator = _base_estimator(method, qmode, smode)
     if strategy.kind is StrategyKind.SINGLE:
         value = float(estimator(f, x, h))
+        if not math.isfinite(value):
+            raise NonFiniteEstimateError(float(h), value)
         return AveragedResult(mean=value, sample_std=0.0, n=1, predicted_sigma=0.0)
 
     seq = make_steps(h, strategy)
@@ -187,7 +255,11 @@ def averaged_derivative(method: MethodId, f: Callable, x: float, h: float,
         raise NonFiniteEstimateError(float(seq.steps[bad]), float(estimates[bad]))
     n = estimates.size
     mean = compensated_mean(estimates)
-    std = float(np.std(estimates, ddof=1)) if n > 1 else 0.0
+    if n > 1:
+        dev = estimates - mean
+        std = math.sqrt(float(dev @ dev) / (n - 1))
+    else:
+        std = 0.0
     return AveragedResult(mean=mean, sample_std=std, n=n,
                           predicted_sigma=std / math.sqrt(n))
 

@@ -167,16 +167,20 @@ def _write(path: Path, text: str) -> None:
 
 def _cmd_bench(args) -> int:
     samples = PAPER_SCALE_SAMPLES if args.paper_scale else args.samples
-    cfg = RunConfig(
-        case_ids=args.cases,
-        variants=_select_variants(args),
-        h_grid=args.h_grid,
-        n_samples=samples,
-        seed=args.seed,
-        qmode=_QUADRATURES[args.quadrature],
-        smode=_SIGNS[args.ldi_sign],
-        output_format=args.format,
-    )
+    try:
+        cfg = RunConfig(
+            case_ids=args.cases,
+            variants=_select_variants(args),
+            h_grid=args.h_grid,
+            n_samples=samples,
+            seed=args.seed,
+            qmode=_QUADRATURES[args.quadrature],
+            smode=_SIGNS[args.ldi_sign],
+            output_format=args.format,
+        )
+    except ValueError as exc:
+        print(f"stepavg: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     cases = {c.case_id: c for c in case_table()}
     ext = cfg.output_format
     out = Path(args.out)
@@ -225,10 +229,11 @@ def _cmd_eval(args) -> int:
         strategy = StepStrategy(StrategyKind(kind.value), sample_count=samples,
                                 seed=seed)
     try:
+        # d1_exact checks the domain, so a bad x fails before f is sampled
+        truth = d1_exact(fn, args.x)
         result = averaged_derivative(method, function_handle(fn), args.x, args.h,
                                      strategy, _QUADRATURES[args.quadrature],
                                      _SIGNS[args.ldi_sign])
-        truth = d1_exact(fn, args.x)
     except StepavgError as exc:
         print(f"stepavg: {exc}", file=sys.stderr)
         return _EXIT_MISMATCH

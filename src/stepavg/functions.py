@@ -55,8 +55,9 @@ def _horner(coeffs, x):
     x = np.asarray(x, dtype=float)
     result = np.zeros_like(x)
     for c in reversed(coeffs):
-        result = result * x + c
-    return result
+        np.multiply(result, x, out=result)
+        np.add(result, c, out=result)
+    return result[()] if result.ndim == 0 else result
 
 
 def _laguerre7(x):

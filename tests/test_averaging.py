@@ -1,6 +1,7 @@
 """Step generation strategies and the averaging meta-method."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from stepavg import (
     steps_lowdiscrepancy,
     steps_mc,
 )
+from stepavg import averaging
 from stepavg.bench import MethodVariant, VariantKind, substream_seed
 
 MC = StrategyKind.MC_UNIFORM
@@ -209,6 +211,25 @@ def test_nonfinite_estimate_reports_offending_step():
     assert "non-finite" in str(err.value)
 
 
+def test_single_strategy_rejects_nonfinite_estimate():
+    def f(t):
+        return np.full_like(np.asarray(t, dtype=float), np.inf)
+
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteEstimateError) as err:
+        averaged_derivative(MethodId.AFD, f, 1.0, 1e-3, StepStrategy(SINGLE))
+    assert err.value.step == 1e-3
+
+
+def test_sample_std_is_spread_about_exact_mean():
+    steps = steps_mc(1e-7, 3000, seed=5).steps
+    estimates = afd(np.cos, 1.47, steps)
+    res = averaged_derivative(MethodId.AFD, np.cos, 1.47, 1e-7,
+                              StepStrategy(MC, sample_count=3000, seed=5))
+    assert res.sample_std == pytest.approx(float(np.std(estimates, ddof=1)),
+                                           rel=1e-10)
+    assert res.predicted_sigma == res.sample_std / math.sqrt(3000)
+
+
 # --- predict_error_reduction ---
 
 def test_predict_error_reduction_examples():
@@ -234,12 +255,52 @@ def test_predict_error_reduction_scale_equivariance(sigmas, c):
 
 # --- compensated_mean ---
 
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
 @given(st.data())
 def test_compensated_mean_is_permutation_invariant(data):
-    values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
-    shuffled = data.draw(st.permutations(values))
-    assert compensated_mean(values) == compensated_mean(shuffled)
+    # repeating the drawn values carries n past the small-n cut, so both
+    # the math.fsum path and the integer reduction are exercised
+    base = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
+    values = base * data.draw(st.sampled_from([1, 35, 200]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    shuffled = np.random.default_rng(seed).permutation(values)
+    mean = compensated_mean(values)
+    assert _bits(mean) == _bits(compensated_mean(shuffled))
+    assert _bits(mean) == _bits(math.fsum(values) / len(values))
+
+
+_RNG = np.random.default_rng(2017)
+_CLUSTER = -0.9949 + 1e-8 * _RNG.standard_normal(5000)
+_WITH_ZEROS = _RNG.standard_normal(3000)
+_WITH_ZEROS[::3] = 0.0
+# (values, whether the integer reduction applies rather than math.fsum)
+_MEAN_INPUTS = {
+    "tenths": ([0.1] * 10, False),
+    "clustered, one below the cut": (_CLUSTER[:1023], False),
+    "clustered, at the cut": (_CLUSTER[:1024], True),
+    "clustered": (_CLUSTER, True),
+    # verbatim LDI's ~0.079 f/h term over steps in [0.5h, 1.5h]
+    "factor-3 spread": (0.079 * 900.0 / _RNG.uniform(0.5e-8, 1.5e-8, 4096), True),
+    "mixed signs": (_RNG.standard_normal(3000), True),
+    "zeros": (_WITH_ZEROS, True),
+    "exponent span too wide": (np.append(_CLUSTER, 1e-30), False),
+    "subnormal": (np.full(2000, 5e-324), False),
+    "near overflow": (np.tile([1e307, -1e307, 3.0], 700), False),
+    "all zero": (np.zeros(2000), False),
+}
 
 
 def test_compensated_mean_matches_exact_fraction():
     assert compensated_mean([0.1] * 10) == pytest.approx(0.1, rel=1e-16)
+    for name, (values, integer_path) in _MEAN_INPUTS.items():
+        values = np.asarray(values, dtype=float)
+        n = values.size
+        exact = sum(map(Fraction, values.tolist()), Fraction(0))
+        assert math.fsum(values.tolist()) == float(exact), name
+        mean = compensated_mean(values)
+        assert _bits(mean) == _bits(math.fsum(values) / n), name
+        assert (n >= averaging._EXACT_MIN_N
+                and averaging._exact_sum(values) is not None) == integer_path, name

@@ -1,5 +1,7 @@
 """Command-line interface: parsing, exit codes, artifact layout."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,26 @@ def test_eval_averaged_is_deterministic(capsys):
     assert "estimate," in first
 
 
+@pytest.mark.parametrize("bad", [["--x", "nan", "--h", "1e-5"],
+                                 ["--x", "1.47", "--h", "inf"]])
+def test_eval_nonfinite_input_fails_with_one_line(bad, capsys):
+    code = main(["eval", "--fn", "cos", "--method", "afd", *bad])
+    captured = capsys.readouterr()
+    assert code != 0
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_eval_out_of_domain_x_fails_before_sampling(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eval", "--fn", "ln", "--x", "-1", "--method", "afd",
+                     "--variant", "mc", "--h", "1e-5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == ["stepavg: ln is undefined at x=-1.0"]
+
+
 # --- bench ---
 
 def bench_args(out_dir, extra=()):
@@ -143,6 +165,13 @@ def test_bench_markdown_bolds_minima(tmp_path, capsys):
     text = (out / "case_10.md").read_text()
     assert text.startswith("| h |")
     assert "**" in text
+
+
+def test_bench_zero_samples_is_a_usage_error(tmp_path, capsys):
+    assert main(["bench", "--samples", "0", "--out", str(tmp_path / "run")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["stepavg: n_samples must be >= 1, got 0"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_bench_unwritable_out_exits_3(tmp_path, capsys):

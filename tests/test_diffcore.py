@@ -1,12 +1,17 @@
 """Base estimators and quadrature: exactness, frozen values, anomalies."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stepavg
 from stepavg import (
     InvalidIntervalError,
     InvalidStepError,
@@ -22,6 +27,10 @@ PV = QuadratureMode.PAPER_VERBATIM
 CC = QuadratureMode.CORRECTED_COMPOSITE
 COR = LdiSignMode.CORRECTED
 PVS = LdiSignMode.PAPER_VERBATIM
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
 
 
 def poly(coeffs):
@@ -92,6 +101,13 @@ def test_estimators_reject_nonpositive_step(bad_h):
         ldi(np.cos, 1.0, bad_h)
 
 
+@pytest.mark.parametrize("bad_h", [math.inf, math.nan])
+def test_estimators_reject_nonfinite_step(bad_h):
+    for method in (afd, richardson5, ldi):
+        with pytest.raises(InvalidStepError):
+            method(np.cos, 1.0, bad_h)
+
+
 def test_estimators_reject_step_array_with_nonpositive_entry():
     with pytest.raises(InvalidStepError):
         afd(np.cos, 1.0, np.array([1e-3, 0.0]))
@@ -153,6 +169,52 @@ def test_boole16_rejects_empty_interval():
         boole16(np.cos, 1.0, 1.0, CC)
     with pytest.raises(InvalidIntervalError):
         boole16(np.cos, 2.0, 1.0, PV)
+
+
+# Interval counts around the chunk size of boole16.
+_CHUNK_SIZES = (16383, 16384, 16385, 3 * 16384 + 5)
+
+# numpy's matrix-vector product splits its rows among BLAS threads, and
+# the rows at the end of a thread's share are summed in another order;
+# so one pass and a chunked pass agree bit for bit only with one BLAS
+# thread, which this script is run under.
+_CHUNKED_VS_ONE_SHOT = """
+import sys
+import numpy as np
+from stepavg import FunctionId, QuadratureMode, diffcore, function_handle
+
+f = function_handle(FunctionId.LAGUERRE7)
+rng = np.random.default_rng(11)
+chunk = diffcore._BOOLE_CHUNK
+for n in map(int, sys.argv[1:]):
+    steps = rng.uniform(0.5e-6, 1.5e-6, n)
+    for mode in QuadratureMode:
+        chunked = diffcore.ldi(f, 17.65, steps, mode)
+        diffcore._BOOLE_CHUNK = n
+        one_shot = diffcore.ldi(f, 17.65, steps, mode)
+        diffcore._BOOLE_CHUNK = chunk
+        if chunked.tobytes() != one_shot.tobytes():
+            print(n, mode.value, np.count_nonzero(chunked != one_shot))
+"""
+
+
+def test_boole16_chunked_matches_one_shot_bitwise():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=str(Path(stepavg.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", _CHUNKED_VS_ONE_SHOT, *map(str, _CHUNK_SIZES)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == ""
+
+
+@pytest.mark.parametrize("mode", [PV, CC])
+def test_boole16_zero_d_input_stays_scalar(mode):
+    value = boole16(np.exp, 0.25, 0.75, mode)
+    assert np.ndim(value) == 0
+    batch = boole16(np.exp, np.array([0.25]), np.array([0.75]), mode)
+    assert _bits(value) == _bits(batch[0])
 
 
 # --- ldi ---
