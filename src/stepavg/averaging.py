@@ -100,8 +100,8 @@ class AveragedResult:
 
 def _check_positive_h(h: float) -> float:
     h = float(h)
-    if not h > 0.0:
-        raise InvalidStrategyError(f"base step h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise InvalidStrategyError(f"base step h must be positive and finite, got {h}")
     return h
 
 
@@ -228,16 +228,34 @@ def _base_estimator(method: MethodId, qmode: QuadratureMode,
     return lambda f, x, h: ldi(f, x, h, qmode, smode)
 
 
+# Steps per estimator call in an average. An LDI call on this many steps
+# builds a 2.2 MB node matrix that stays in cache, where one call on 10^6
+# steps would allocate 136 MB. LDI's weighted sums over 16384-row blocks
+# were checked to give the same bits under one and two BLAS threads.
+_STEP_CHUNK = 16384
+
+
+def _chunked_estimates(estimator: Callable, f: Callable, x: float,
+                       steps: np.ndarray) -> np.ndarray:
+    """estimator(f, x, steps), evaluated 16384 steps per call."""
+    estimates = np.empty(steps.size)
+    for start in range(0, steps.size, _STEP_CHUNK):
+        part = slice(start, start + _STEP_CHUNK)
+        estimates[part] = estimator(f, x, steps[part])
+    return estimates
+
+
 def averaged_derivative(method: MethodId, f: Callable, x: float, h: float,
                         strategy: StepStrategy,
                         qmode: QuadratureMode = QuadratureMode.PAPER_VERBATIM,
                         smode: LdiSignMode = LdiSignMode.CORRECTED) -> AveragedResult:
     """Average a base estimator over the strategy's step multiset.
 
-    The Single strategy returns the base estimate at h itself. For N > 1
-    the mean is formed with exact summation so the aggregation step does
-    not reintroduce the rounding noise it is meant to remove, and the
-    spread is taken about that mean. Any non-finite single-step estimate,
+    The Single strategy returns the base estimate at h itself. Otherwise
+    every method runs on 16384 steps per estimator call, so only the
+    steps and the estimates grow with N. The mean is formed with exact
+    summation so the aggregation step does not reintroduce the rounding
+    noise it is meant to remove, and the spread is taken about that mean. Any non-finite single-step estimate,
     the Single one included, aborts with the offending step.
     """
     estimator = _base_estimator(method, qmode, smode)
@@ -248,7 +266,7 @@ def averaged_derivative(method: MethodId, f: Callable, x: float, h: float,
         return AveragedResult(mean=value, sample_std=0.0, n=1, predicted_sigma=0.0)
 
     seq = make_steps(h, strategy)
-    estimates = np.atleast_1d(np.asarray(estimator(f, x, seq.steps), dtype=float))
+    estimates = _chunked_estimates(estimator, f, x, seq.steps)
     finite = np.isfinite(estimates)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])

@@ -29,7 +29,13 @@ from .bench import (
     substream_seed,
 )
 from .diffcore import LdiSignMode, MethodId, QuadratureMode
-from .errors import AggregationError, StepavgError
+from .errors import (
+    AggregationError,
+    DomainError,
+    InvalidStepError,
+    InvalidStrategyError,
+    StepavgError,
+)
 from .functions import FunctionId, case_table, d1_exact, function_handle, validate_case_table
 
 _EXIT_OK = 0
@@ -222,21 +228,21 @@ def _cmd_eval(args) -> int:
     kind = _VARIANTS[args.variant]
     samples = PAPER_SCALE_SAMPLES if args.paper_scale else args.samples
     variant = MethodVariant(method, kind)
-    if kind is VariantKind.SINGLE:
-        strategy = StepStrategy(StrategyKind.SINGLE)
-    else:
-        seed = substream_seed(args.seed, 0, variant, args.h)
-        strategy = StepStrategy(StrategyKind(kind.value), sample_count=samples,
-                                seed=seed)
     try:
         # d1_exact checks the domain, so a bad x fails before f is sampled
         truth = d1_exact(fn, args.x)
+        if kind is VariantKind.SINGLE:
+            strategy = StepStrategy(StrategyKind.SINGLE)
+        else:
+            seed = substream_seed(args.seed, 0, variant, args.h)
+            strategy = StepStrategy(StrategyKind(kind.value), sample_count=samples,
+                                    seed=seed)
         result = averaged_derivative(method, function_handle(fn), args.x, args.h,
                                      strategy, _QUADRATURES[args.quadrature],
                                      _SIGNS[args.ldi_sign])
-    except StepavgError as exc:
+    except (DomainError, InvalidStepError, InvalidStrategyError) as exc:
         print(f"stepavg: {exc}", file=sys.stderr)
-        return _EXIT_MISMATCH
+        return _EXIT_USAGE
     print(f"estimate,{result.mean!r}")
     print(f"truth,{truth!r}")
     print(f"abs_error,{abs(result.mean - truth)!r}")

@@ -8,6 +8,7 @@ the published derivative magnitudes) and its self-validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
@@ -51,10 +52,17 @@ _L7_D2_COEFFS = tuple(i * c for i, c in enumerate(_L7_D1_COEFFS))[1:]
 
 
 def _horner(coeffs, x):
-    """Evaluate a polynomial given by ascending coefficients at x."""
+    """Evaluate a polynomial given by ascending coefficients at x.
+
+    Needs at least two coefficients. The first step forms x*c_n + c_(n-1)
+    directly rather than 0*x + c_n, which gives the same bits for finite
+    x and the true limit, not nan, at x = +-inf: L7(+inf) = -inf and
+    L7(-inf) = +inf.
+    """
     x = np.asarray(x, dtype=float)
-    result = np.zeros_like(x)
-    for c in reversed(coeffs):
+    result = np.multiply(x, coeffs[-1], out=np.empty_like(x))
+    np.add(result, coeffs[-2], out=result)
+    for c in coeffs[-3::-1]:
         np.multiply(result, x, out=result)
         np.add(result, c, out=result)
     return result[()] if result.ndim == 0 else result
@@ -107,7 +115,7 @@ FunctionLike = Union[FunctionId, CustomFunction]
 
 
 def _check_domain(fn: FunctionId, x: float) -> None:
-    if _REGISTRY[fn][3] and not x > 0.0:
+    if not math.isfinite(x) or (_REGISTRY[fn][3] and not x > 0.0):
         raise DomainError(fn.value, x)
 
 
@@ -116,7 +124,7 @@ def evaluate(fn: FunctionLike, x: float) -> float:
 
     The Laguerre polynomial is evaluated by Horner's scheme with exact
     rational coefficients. Raises DomainError when x violates the
-    function's domain (x > 0 for ln).
+    function's domain: x must be finite, and x > 0 for ln.
     """
     if isinstance(fn, CustomFunction):
         return float(fn.f(x))

@@ -1,13 +1,18 @@
 """Step generation strategies and the averaging meta-method."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stepavg
 from stepavg import (
     AveragedResult,
     InvalidStrategyError,
@@ -57,6 +62,8 @@ def test_step_generators_reject_bad_arguments():
         steps_mc(-1e-3, 10, seed=0)
     with pytest.raises(InvalidStrategyError):
         steps_lowdiscrepancy(0.0, 10)
+    with pytest.raises(InvalidStrategyError):
+        steps_mc(math.inf, 10, seed=0)
 
 
 # --- equidistant ---
@@ -211,6 +218,23 @@ def test_nonfinite_estimate_reports_offending_step():
     assert "non-finite" in str(err.value)
 
 
+def test_nonfinite_estimate_in_a_later_chunk_reports_its_step():
+    # equidistant steps grow with the index, so f(x + h_i) is nan from
+    # index 20000 on, inside the second 16384-step chunk
+    n = 3 * 16384
+    steps = steps_equidistant(1e-3, n).steps
+    cut = (steps[19999] + steps[20000]) / 2.0
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > cut, np.nan, t)
+
+    with pytest.raises(NonFiniteEstimateError) as err:
+        averaged_derivative(MethodId.AFD, f, 0.0, 1e-3,
+                            StepStrategy(ED, sample_count=n))
+    assert err.value.step == steps[20000]
+
+
 def test_single_strategy_rejects_nonfinite_estimate():
     def f(t):
         return np.full_like(np.asarray(t, dtype=float), np.inf)
@@ -228,6 +252,82 @@ def test_sample_std_is_spread_about_exact_mean():
     assert res.sample_std == pytest.approx(float(np.std(estimates, ddof=1)),
                                            rel=1e-10)
     assert res.predicted_sigma == res.sample_std / math.sqrt(3000)
+
+
+# --- chunked evaluation ---
+
+def _run_script(script, args, blas_threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               OMP_NUM_THREADS=str(blas_threads),
+               MKL_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=str(Path(stepavg.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+# Step counts around the 16384-step chunk of averaged_derivative.
+_CHUNK_SIZES = (16383, 16384, 16385, 3 * 16384 + 5)
+
+# LDI's weighted sum is a BLAS matrix-vector product that splits its
+# rows among threads, and the rows at the end of a thread's share are
+# summed in another order; so chunked and one-shot estimates agree bit
+# for bit only with one BLAS thread, which this script is run under.
+_CHUNKED_VS_ONE_SHOT = """
+import sys
+import numpy as np
+from stepavg import (FunctionId, LdiSignMode, MethodId, QuadratureMode,
+                     averaging, function_handle)
+
+f = function_handle(FunctionId.LAGUERRE7)
+rng = np.random.default_rng(11)
+for n in map(int, sys.argv[1:]):
+    steps = rng.uniform(0.5e-6, 1.5e-6, n)
+    for method in MethodId:
+        for qmode in QuadratureMode:
+            estimator = averaging._base_estimator(method, qmode,
+                                                  LdiSignMode.CORRECTED)
+            chunked = averaging._chunked_estimates(estimator, f, 17.65, steps)
+            one_shot = estimator(f, 17.65, steps)
+            if chunked.tobytes() != one_shot.tobytes():
+                print(n, method.value, qmode.value,
+                      np.count_nonzero(chunked != one_shot))
+"""
+
+
+def test_chunked_estimates_match_one_shot_bitwise():
+    assert _run_script(_CHUNKED_VS_ONE_SHOT, _CHUNK_SIZES, blas_threads=1) == ""
+
+
+# Prints the exact mean and a hash of the estimates of an MC-averaged
+# LDI evaluation of cos at 1.47 for each step count and quadrature.
+_LDI_DIGESTS = """
+import hashlib
+import sys
+import numpy as np
+from stepavg import (LdiSignMode, MethodId, QuadratureMode, StepStrategy,
+                     StrategyKind, averaging)
+
+for n in map(int, sys.argv[1:]):
+    steps = averaging.make_steps(
+        1e-5, StepStrategy(StrategyKind.MC_UNIFORM, n, seed=7)).steps
+    for qmode in QuadratureMode:
+        estimator = averaging._base_estimator(MethodId.LDI, qmode,
+                                              LdiSignMode.CORRECTED)
+        estimates = averaging._chunked_estimates(estimator, np.cos, 1.47, steps)
+        print(n, qmode.value, averaging.compensated_mean(estimates).hex(),
+              hashlib.sha256(estimates.tobytes()).hexdigest())
+"""
+
+
+def test_averaged_ldi_bits_do_not_depend_on_blas_threads():
+    # one-shot LDI calls on 49157 and 100003 steps gave other bits with
+    # two BLAS threads than with one; the 16384-step chunks do not
+    sizes = (49157, 100003, 10**6)
+    one = _run_script(_LDI_DIGESTS, sizes, blas_threads=1)
+    assert len(one.splitlines()) == 2 * len(sizes)
+    assert _run_script(_LDI_DIGESTS, sizes, blas_threads=2) == one
 
 
 # --- predict_error_reduction ---

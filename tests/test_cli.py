@@ -109,14 +109,38 @@ def test_eval_averaged_is_deterministic(capsys):
     assert "estimate," in first
 
 
-@pytest.mark.parametrize("bad", [["--x", "nan", "--h", "1e-5"],
-                                 ["--x", "1.47", "--h", "inf"]])
+@pytest.mark.parametrize("bad", [
+    (["--x", "nan", "--h", "1e-5"], "cos is undefined at x=nan"),
+    (["--x", "1.47", "--h", "inf"], "step h must be positive and finite, got h=inf"),
+    (["--x", "1.47", "--h", "inf", "--variant", "mc"],
+     "base step h must be positive and finite, got inf"),
+])
 def test_eval_nonfinite_input_fails_with_one_line(bad, capsys):
-    code = main(["eval", "--fn", "cos", "--method", "afd", *bad])
+    argv, message = bad
+    code = main(["eval", "--fn", "cos", "--method", "afd", *argv])
     captured = capsys.readouterr()
-    assert code != 0
+    assert code == 1
     assert captured.out == ""
+    assert captured.err.splitlines() == [f"stepavg: {message}"]
+
+
+def test_eval_zero_samples_is_a_usage_error(capsys):
+    code = main(["eval", "--fn", "cos", "--x", "1.47", "--method", "afd",
+                 "--variant", "mc", "--h", "1e-5", "--samples", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == ["stepavg: sample_count must be >= 1, got 0"]
+
+
+def test_eval_nonfinite_estimate_is_a_mismatch(capsys):
+    # x - h leaves ln's domain, so the estimate itself is nan
+    with np.errstate(invalid="ignore"):
+        code = main(["eval", "--fn", "ln", "--x", "0.001", "--method", "afd",
+                     "--h", "0.01"])
+    captured = capsys.readouterr()
+    assert code == 2
     assert len(captured.err.splitlines()) == 1
+    assert "non-finite" in captured.err
 
 
 def test_eval_out_of_domain_x_fails_before_sampling(capsys):
@@ -125,7 +149,7 @@ def test_eval_out_of_domain_x_fails_before_sampling(capsys):
         code = main(["eval", "--fn", "ln", "--x", "-1", "--method", "afd",
                      "--variant", "mc", "--h", "1e-5"])
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == 1
     assert captured.err.splitlines() == ["stepavg: ln is undefined at x=-1.0"]
 
 

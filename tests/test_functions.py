@@ -1,6 +1,7 @@
 """Function registry: exact values, derivatives, case table validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,13 @@ from stepavg import (
     evaluate,
     function_handle,
     validate_case_table,
+)
+from stepavg.functions import (
+    _L7_COEFFS,
+    _L7_D1_COEFFS,
+    _L7_D2_COEFFS,
+    _horner,
+    _laguerre7,
 )
 
 # High-precision reference values for the degree-7 polynomial at the case
@@ -126,6 +134,45 @@ def test_ln_domain_errors():
         d1_exact(FunctionId.LN, -1.0)
     with pytest.raises(DomainError):
         d2_exact(FunctionId.LN, -2.5)
+
+
+def _horner_from_zero(coeffs, x):
+    result = np.zeros_like(x)
+    for c in reversed(coeffs):
+        result = result * x + c
+    return result
+
+
+@pytest.mark.parametrize("coeffs", [_L7_COEFFS, _L7_D1_COEFFS, _L7_D2_COEFFS])
+def test_horner_matches_zero_start_bitwise(coeffs):
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([
+        rng.uniform(-20.0, 20.0, 1000),
+        rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-300, 40, 1000),
+        [0.0, -0.0, 9.683, 17.65],
+    ])
+    expected = _horner_from_zero(coeffs, xs)
+    assert _horner(coeffs, xs).tobytes() == expected.tobytes()
+    if coeffs is _L7_COEFFS:
+        assert _laguerre7(xs).tobytes() == expected.tobytes()
+    value = _horner(coeffs, 9.683)
+    assert isinstance(value, np.float64)
+    assert value.tobytes() == _horner_from_zero(coeffs, np.float64(9.683)).tobytes()
+
+
+def test_laguerre7_has_its_limits_at_infinity():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = _laguerre7(np.array([np.inf, -np.inf]))
+    assert values.tolist() == [-np.inf, np.inf]
+
+
+def test_nonfinite_x_is_outside_every_domain():
+    for fn in FunctionId:
+        for x in (math.nan, math.inf, -math.inf):
+            for op in (evaluate, d1_exact, d2_exact):
+                with pytest.raises(DomainError):
+                    op(fn, x)
 
 
 def test_function_handle_is_pure_and_vectorized():
