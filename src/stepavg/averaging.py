@@ -255,8 +255,9 @@ def averaged_derivative(method: MethodId, f: Callable, x: float, h: float,
     every method runs on 16384 steps per estimator call, so only the
     steps and the estimates grow with N. The mean is formed with exact
     summation so the aggregation step does not reintroduce the rounding
-    noise it is meant to remove, and the spread is taken about that mean. Any non-finite single-step estimate,
-    the Single one included, aborts with the offending step.
+    noise it is meant to remove, and the spread is taken about that
+    mean. Any non-finite single-step estimate, the Single one included,
+    aborts with the offending step.
     """
     estimator = _base_estimator(method, qmode, smode)
     if strategy.kind is StrategyKind.SINGLE:
@@ -274,7 +275,9 @@ def averaged_derivative(method: MethodId, f: Callable, x: float, h: float,
     n = estimates.size
     mean = compensated_mean(estimates)
     if n > 1:
-        dev = estimates - mean
+        # the estimates are not needed once the mean is formed, so the
+        # deviations overwrite them rather than fill a fresh array
+        dev = np.subtract(estimates, mean, out=estimates)
         std = math.sqrt(float(dev @ dev) / (n - 1))
     else:
         std = 0.0

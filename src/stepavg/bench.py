@@ -25,7 +25,7 @@ import numpy as np
 
 from .averaging import StepStrategy, StrategyKind, averaged_derivative
 from .diffcore import LdiSignMode, MethodId, QuadratureMode
-from .errors import AggregationError, NonFiniteEstimateError
+from .errors import AggregationError, InvalidIntervalError, NonFiniteEstimateError
 from .functions import FunctionCase, d1_exact, d2_exact, function_handle, function_name
 
 __all__ = [
@@ -189,8 +189,9 @@ def substream_seed(seed: int, case_id: int, variant: MethodVariant,
 def run_case(case: FunctionCase, cfg: RunConfig) -> ErrorTable:
     """Error table for one case over cfg.variants x cfg.h_grid.
 
-    Deterministic given cfg.seed; estimator domain failures and
-    non-finite estimates become inf cells rather than aborting the run.
+    Deterministic given cfg.seed; estimator domain failures, non-finite
+    estimates and LDI windows [x-h, x+h] that round to one point (h
+    below half an ulp of x) become inf cells rather than aborting the run.
     """
     f = function_handle(case.fn)
     truth = d1_exact(case.fn, case.x)
@@ -202,7 +203,7 @@ def run_case(case: FunctionCase, cfg: RunConfig) -> ErrorTable:
                 result = averaged_derivative(variant.method, f, case.x, h,
                                              strategy, cfg.qmode, cfg.smode)
                 cells[i, j] = abs_error(result.mean, truth)
-            except NonFiniteEstimateError:
+            except (NonFiniteEstimateError, InvalidIntervalError):
                 cells[i, j] = math.inf
     table = ErrorTable(
         title=f"case {case.case_id}: {function_name(case.fn)} at x={case.x:g}",

@@ -11,6 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .averaging import StepStrategy, StrategyKind, averaged_derivative
 from .bench import (
     CANONICAL_VARIANTS,
@@ -32,6 +34,7 @@ from .diffcore import LdiSignMode, MethodId, QuadratureMode
 from .errors import (
     AggregationError,
     DomainError,
+    InvalidIntervalError,
     InvalidStepError,
     InvalidStrategyError,
     StepavgError,
@@ -70,6 +73,17 @@ def _parse_cases(text: str) -> tuple:
     if not ids or any(i < 1 or i > 19 for i in ids):
         raise argparse.ArgumentTypeError(f"--cases: ids must be in 1..19, got {text!r}")
     return ids
+
+
+def _parse_seed(text: str) -> int:
+    """A run seed: numpy's SeedSequence takes only non-negative ints."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
 
 
 def _parse_h_grid(text: str) -> tuple:
@@ -123,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="start:stop:factor, default 1e-3:1e-8:10")
         p.add_argument("--samples", type=int, default=10**4,
                        help="steps per averaged estimate, default 10000")
-        p.add_argument("--seed", type=int, default=0, help="run seed, default 0")
+        p.add_argument("--seed", type=_parse_seed, default=0, help="run seed, default 0")
         p.add_argument("--quadrature", choices=sorted(_QUADRATURES),
                        default="paper", help="LDI quadrature weights")
         p.add_argument("--ldi-sign", choices=sorted(_SIGNS), default="corrected",
@@ -240,7 +254,9 @@ def _cmd_eval(args) -> int:
         result = averaged_derivative(method, function_handle(fn), args.x, args.h,
                                      strategy, _QUADRATURES[args.quadrature],
                                      _SIGNS[args.ldi_sign])
-    except (DomainError, InvalidStepError, InvalidStrategyError) as exc:
+    except (DomainError, InvalidStepError, InvalidStrategyError,
+            InvalidIntervalError) as exc:
+        # an empty window means h is below half an ulp of x
         print(f"stepavg: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     print(f"estimate,{result.mean!r}")
@@ -322,7 +338,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # a window that leaves f's domain shows as a NonFiniteEstimateError
+        # or an inf cell, so numpy's warnings would only repeat it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _COMMANDS[args.command](args)
     except StepavgError as exc:
         print(f"stepavg: {exc}", file=sys.stderr)
         return _EXIT_MISMATCH

@@ -66,12 +66,14 @@ class LdiSignMode(Enum):
 # rule scaled by 2*dx/45 would need. Kept verbatim by design.
 _W16 = np.array([7, 12, 32, 14, 32, 12, 32, 14, 32, 12, 32, 14, 32, 12, 32, 7],
                 dtype=float)
-_IDX16 = np.arange(16, dtype=float)
+# Node basis: row 0 holds the node indices i, row 1 ones, so that
+# [dx, a] @ basis gives the nodes a + i*dx.
+_BASIS16 = np.array([np.arange(16, dtype=float), np.ones(16)])
 
 # Standard four-panel composite Boole rule: 17 nodes at a + i*(b-a)/16.
 _W17 = np.array([7, 32, 12, 32, 14, 32, 12, 32, 14, 32, 12, 32, 14, 32, 12, 32, 7],
                 dtype=float)
-_IDX17 = np.arange(17, dtype=float)
+_BASIS17 = np.array([np.arange(17, dtype=float), np.ones(17)])
 
 
 def _check_step(h: ArrayLike) -> np.ndarray:
@@ -116,20 +118,38 @@ def boole16(f: Callable, a: ArrayLike, b: ArrayLike,
     intervals are evaluated in one pass, so the node matrix holds 16 or
     17 float64 nodes per interval; averaged_derivative calls this
     through ldi on 16384 steps at a time.
+
+    Each node is a + i*dx, counted from the left endpoint to bound
+    rounding drift and rounded as fl(fl(i*dx) + a). For two or more
+    intervals the node matrix is one BLAS product of the n x 2 matrix
+    [dx, a] with the constant 2 x k matrix [i; 1]: the kernel sums its
+    inner dimension in index order, so it rounds each node the same way
+    and is several times faster than two broadcast passes whose inner
+    loop has length 16. A single interval keeps the elementwise form,
+    because numpy sends a one-row product to gemv, whose fused
+    multiply-add rounds i*dx + a only once.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if not np.all(a < b):
-        raise InvalidIntervalError(f"need a < b, got a={a!r}, b={b!r}")
+    valid = a < b
+    if not np.all(valid):
+        first = int(np.flatnonzero(~valid)[0])
+        bad_a = float(np.broadcast_to(a, valid.shape).flat[first])
+        bad_b = float(np.broadcast_to(b, valid.shape).flat[first])
+        raise InvalidIntervalError(f"need a < b, got a={bad_a!r}, b={bad_b!r}")
     if mode is QuadratureMode.PAPER_VERBATIM:
-        idx, weights, panels = _IDX16, _W16, 15.0
+        basis, weights, panels = _BASIS16, _W16, 15.0
     else:
-        idx, weights, panels = _IDX17, _W17, 16.0
+        basis, weights, panels = _BASIS17, _W17, 16.0
     dx = (b - a) / panels
-    # nodes from the left endpoint, a + i*dx, to bound rounding drift;
-    # the sum is formed in place, as a fresh array costs page faults
-    nodes = np.multiply.outer(dx, idx)
-    nodes += a[..., np.newaxis]
+    if dx.size < 2:
+        nodes = np.multiply.outer(dx, basis[0])
+        nodes += a[..., np.newaxis]
+    else:
+        lhs = np.empty(dx.shape + (2,))
+        lhs[..., 0] = dx
+        lhs[..., 1] = a
+        nodes = (lhs.reshape(-1, 2) @ basis).reshape(dx.shape + basis.shape[1:])
     return 2.0 * dx / 45.0 * (f(nodes) @ weights)
 
 

@@ -51,6 +51,20 @@ _L7_D1_COEFFS = tuple(i * c for i, c in enumerate(_L7_COEFFS))[1:]
 _L7_D2_COEFFS = tuple(i * c for i, c in enumerate(_L7_D1_COEFFS))[1:]
 
 
+# Points per block of the blocked Horner loop: a 256 KB block of x and
+# one of the result stay in cache through all the passes.
+_HORNER_BLOCK = 1 << 15
+
+
+def _horner_into(coeffs, x, out):
+    """Write the polynomial at x into out, one in-place pass per step."""
+    np.multiply(x, coeffs[-1], out=out)
+    np.add(out, coeffs[-2], out=out)
+    for c in coeffs[-3::-1]:
+        np.multiply(out, x, out=out)
+        np.add(out, c, out=out)
+
+
 def _horner(coeffs, x):
     """Evaluate a polynomial given by ascending coefficients at x.
 
@@ -58,14 +72,24 @@ def _horner(coeffs, x):
     directly rather than 0*x + c_n, which gives the same bits for finite
     x and the true limit, not nan, at x = +-inf: L7(+inf) = -inf and
     L7(-inf) = +inf.
+
+    Inputs of more than 32768 points are evaluated in blocks of 32768
+    points of the C-ordered flattened x, all passes on one block before
+    the next, so a 16384 x 16 LDI node matrix is not streamed through
+    memory once per pass.
     """
     x = np.asarray(x, dtype=float)
-    result = np.multiply(x, coeffs[-1], out=np.empty_like(x))
-    np.add(result, coeffs[-2], out=result)
-    for c in coeffs[-3::-1]:
-        np.multiply(result, x, out=result)
-        np.add(result, c, out=result)
-    return result[()] if result.ndim == 0 else result
+    if x.size <= _HORNER_BLOCK:
+        result = np.empty_like(x)
+        _horner_into(coeffs, x, result)
+        return result[()] if result.ndim == 0 else result
+    flat_x = np.ascontiguousarray(x).reshape(-1)
+    result = np.empty(x.shape)
+    flat = result.reshape(-1)
+    for start in range(0, flat.size, _HORNER_BLOCK):
+        block = slice(start, start + _HORNER_BLOCK)
+        _horner_into(coeffs, flat_x[block], flat[block])
+    return result
 
 
 def _laguerre7(x):

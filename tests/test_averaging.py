@@ -256,11 +256,12 @@ def test_sample_std_is_spread_about_exact_mean():
 
 # --- chunked evaluation ---
 
-def _run_script(script, args, blas_threads):
+def _run_script(script, args, blas_threads, **extra_env):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
                OMP_NUM_THREADS=str(blas_threads),
                MKL_NUM_THREADS=str(blas_threads),
-               PYTHONPATH=str(Path(stepavg.__file__).resolve().parents[1]))
+               PYTHONPATH=str(Path(stepavg.__file__).resolve().parents[1]),
+               **extra_env)
     run = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
@@ -328,6 +329,55 @@ def test_averaged_ldi_bits_do_not_depend_on_blas_threads():
     one = _run_script(_LDI_DIGESTS, sizes, blas_threads=1)
     assert len(one.splitlines()) == 2 * len(sizes)
     assert _run_script(_LDI_DIGESTS, sizes, blas_threads=2) == one
+
+
+# Prints every boole16 call whose nodes or integral differ in any bit
+# from the elementwise reference fl(fl(i*dx) + a), for intervals of the
+# given counts, for a few 2-D layouts and for 0-d intervals.
+_NODE_BITS = """
+import sys
+import numpy as np
+from stepavg import QuadratureMode, boole16
+from stepavg.diffcore import _W16, _W17
+
+rng = np.random.default_rng(5)
+seen = []
+
+def f(t):
+    seen.append(t.copy())
+    return np.cos(t)
+
+def check(a, b, mode, label):
+    k, weights = (16, _W16) if mode is QuadratureMode.PAPER_VERBATIM else (17, _W17)
+    dx = (b - a) / (k - 1)
+    nodes = np.multiply.outer(dx, np.arange(k, dtype=float)) + a[..., None]
+    integral = 2.0 * dx / 45.0 * (np.cos(nodes) @ weights)
+    seen.clear()
+    value = boole16(f, a, b, mode)
+    if (seen[0].tobytes() != nodes.tobytes()
+            or np.asarray(value).tobytes() != integral.tobytes()):
+        print(label, mode.value, "differs")
+
+shapes = [(n,) for n in map(int, sys.argv[1:])]
+shapes += [(3, 7), (1, 5), (5, 1), (16385, 1)] + [()] * 200
+for shape in shapes:
+    x = rng.uniform(-20.0, 20.0)
+    h = rng.uniform(0.5, 1.5, shape) * 10.0 ** rng.uniform(-8.0, 0.0, shape)
+    for mode in QuadratureMode:
+        check(np.asarray(x - h), np.asarray(x + h), mode, shape)
+"""
+
+_NODE_COUNTS = (*range(1, 65), 1000, 4097, 16383, 16384, 16385)
+
+
+@pytest.mark.parametrize("env", [
+    {"blas_threads": 1}, {"blas_threads": 2},
+    {"blas_threads": 2, "OPENBLAS_CORETYPE": "Haswell"},
+])
+def test_boole16_nodes_match_elementwise_reference_bitwise(env):
+    # two or more intervals build the nodes with one BLAS product, which
+    # must round each node as fl(fl(i*dx) + a) on every kernel
+    assert _run_script(_NODE_BITS, _NODE_COUNTS, **env) == ""
 
 
 # --- predict_error_reduction ---

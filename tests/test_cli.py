@@ -1,10 +1,15 @@
 """Command-line interface: parsing, exit codes, artifact layout."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stepavg
 from stepavg import MethodId, VariantKind, afd
 from stepavg.bench import load_error_table
 from stepavg.cli import _parse_h_grid, _select_variants, build_parser, main
@@ -72,6 +77,21 @@ def test_usage_errors_exit_1(argv):
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--seed", "-1"],
+    ["eval", "--fn", "cos", "--x", "1.47", "--method", "afd", "--variant",
+     "mc", "--h", "1e-5", "--seed", "-1"],
+])
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: stepavg {argv[0]}")
+    assert lines[-1] == (f"stepavg {argv[0]}: error: argument --seed: "
+                         "must be non-negative, got -1")
+
+
 def test_help_exits_0():
     with pytest.raises(SystemExit) as err:
         main(["--help"])
@@ -133,14 +153,39 @@ def test_eval_zero_samples_is_a_usage_error(capsys):
 
 
 def test_eval_nonfinite_estimate_is_a_mismatch(capsys):
-    # x - h leaves ln's domain, so the estimate itself is nan
-    with np.errstate(invalid="ignore"):
-        code = main(["eval", "--fn", "ln", "--x", "0.001", "--method", "afd",
-                     "--h", "0.01"])
+    # x - h leaves ln's domain, so the estimate itself is nan; main
+    # silences numpy's warning, which the suite's filter would make an error
+    code = main(["eval", "--fn", "ln", "--x", "0.001", "--method", "afd",
+                 "--h", "0.01"])
     captured = capsys.readouterr()
     assert code == 2
     assert len(captured.err.splitlines()) == 1
     assert "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--method", "afd"],
+    ["--method", "ldi", "--variant", "mc", "--samples", "100"],
+])
+def test_eval_nonfinite_estimate_leaks_no_numpy_warning(extra):
+    # -W error would turn a leaked RuntimeWarning into a traceback
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "stepavg.cli", "eval", "--fn", "ln",
+         "--x", "0.001", "--h", "0.01", *extra],
+        env=dict(os.environ,
+                 PYTHONPATH=str(Path(stepavg.__file__).resolve().parents[1])),
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert len(run.stderr.splitlines()) == 1
+    assert "non-finite" in run.stderr
+
+
+def test_eval_window_below_half_an_ulp_is_a_usage_error(capsys):
+    code = main(["eval", "--fn", "laguerre7", "--x", "17.65", "--method", "ldi",
+                 "--h", "1e-16"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == ["stepavg: need a < b, got a=17.65, b=17.65"]
 
 
 def test_eval_out_of_domain_x_fails_before_sampling(capsys):
@@ -196,6 +241,17 @@ def test_bench_zero_samples_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["stepavg: n_samples must be >= 1, got 0"]
     assert not (tmp_path / "run").exists()
+
+
+def test_bench_collapsed_ldi_window_is_an_inf_cell(tmp_path, capsys):
+    # at x = 17.65, x +- h rounds to x for h = 1e-15 and 1e-16
+    out = tmp_path / "run"
+    assert main(["bench", "--cases", "4", "--methods", "ldi", "--samples", "50",
+                 "--h-grid", "1e-14:1e-16:10", "--out", str(out)]) == 0
+    table = load_error_table(out / "case_04.csv")
+    assert table.row_labels == ("LDI", "LDI_AV")
+    assert np.isfinite(table.cells[:, 0]).all()
+    assert np.isinf(table.cells[:, 1:]).all()
 
 
 def test_bench_unwritable_out_exits_3(tmp_path, capsys):

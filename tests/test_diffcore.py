@@ -166,6 +166,15 @@ def test_boole16_rejects_empty_interval():
         boole16(np.cos, 2.0, 1.0, PV)
 
 
+def test_boole16_names_the_first_empty_interval():
+    # x +- 1e-16 rounds to x = 17.65, so the second window is empty
+    x = np.full(3, 17.65)
+    h = np.array([1e-3, 1e-16, 1e-17])
+    with pytest.raises(InvalidIntervalError) as err:
+        boole16(np.cos, x - h, x + h, PV)
+    assert str(err.value) == "need a < b, got a=17.65, b=17.65"
+
+
 @pytest.mark.parametrize("mode", [PV, CC])
 def test_boole16_zero_d_input_stays_scalar(mode):
     value = boole16(np.exp, 0.25, 0.75, mode)

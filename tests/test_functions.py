@@ -160,6 +160,36 @@ def test_horner_matches_zero_start_bitwise(coeffs):
     assert value.tobytes() == _horner_from_zero(coeffs, np.float64(9.683)).tobytes()
 
 
+def _horner_unblocked(coeffs, x):
+    result = x * coeffs[-1] + coeffs[-2]
+    for c in coeffs[-3::-1]:
+        result = result * x + c
+    return result
+
+
+@pytest.mark.parametrize("n", [32767, 32768, 32769, 3 * 32768 + 5])
+def test_horner_blocks_match_unblocked_loop_bitwise(n):
+    xs = np.random.default_rng(n).uniform(-20.0, 20.0, n)
+    assert _horner(_L7_COEFFS, xs).tobytes() == _horner_unblocked(_L7_COEFFS, xs).tobytes()
+
+
+def test_horner_blocks_keep_the_layout_of_a_transposed_input():
+    # 16385 x 17 points, as a corrected-quadrature LDI node matrix, read
+    # through a transpose: the result must still hold every block
+    xs = np.random.default_rng(4).uniform(-20.0, 20.0, (17, 16385)).T
+    result = _horner(_L7_D1_COEFFS, xs)
+    expected = _horner_unblocked(_L7_D1_COEFFS, xs)
+    assert result.shape == (16385, 17)
+    assert result.flags.c_contiguous
+    assert result.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_horner_of_zero_d_input_is_a_numpy_scalar():
+    value = _horner(_L7_COEFFS, np.float64(17.65))
+    assert isinstance(value, np.float64)
+    assert value.tobytes() == _horner_unblocked(_L7_COEFFS, np.float64(17.65)).tobytes()
+
+
 def test_laguerre7_has_its_limits_at_infinity():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
