@@ -56,15 +56,6 @@ _L7_D2_COEFFS = tuple(i * c for i, c in enumerate(_L7_D1_COEFFS))[1:]
 _HORNER_BLOCK = 1 << 15
 
 
-def _horner_into(coeffs, x, out):
-    """Write the polynomial at x into out, one in-place pass per step."""
-    np.multiply(x, coeffs[-1], out=out)
-    np.add(out, coeffs[-2], out=out)
-    for c in coeffs[-3::-1]:
-        np.multiply(out, x, out=out)
-        np.add(out, c, out=out)
-
-
 def _horner(coeffs, x):
     """Evaluate a polynomial given by ascending coefficients at x.
 
@@ -73,23 +64,23 @@ def _horner(coeffs, x):
     x and the true limit, not nan, at x = +-inf: L7(+inf) = -inf and
     L7(-inf) = +inf.
 
-    Inputs of more than 32768 points are evaluated in blocks of 32768
-    points of the C-ordered flattened x, all passes on one block before
-    the next, so a 16384 x 16 LDI node matrix is not streamed through
-    memory once per pass.
+    x is evaluated in blocks of 32768 points of its C-ordered flattened
+    form, all passes on one block before the next, so a 16384 x 16 LDI
+    node matrix is not streamed through memory once per pass.
     """
     x = np.asarray(x, dtype=float)
-    if x.size <= _HORNER_BLOCK:
-        result = np.empty_like(x)
-        _horner_into(coeffs, x, result)
-        return result[()] if result.ndim == 0 else result
     flat_x = np.ascontiguousarray(x).reshape(-1)
     result = np.empty(x.shape)
     flat = result.reshape(-1)
     for start in range(0, flat.size, _HORNER_BLOCK):
-        block = slice(start, start + _HORNER_BLOCK)
-        _horner_into(coeffs, flat_x[block], flat[block])
-    return result
+        xs = flat_x[start:start + _HORNER_BLOCK]
+        out = flat[start:start + _HORNER_BLOCK]
+        np.multiply(xs, coeffs[-1], out=out)
+        np.add(out, coeffs[-2], out=out)
+        for c in coeffs[-3::-1]:
+            np.multiply(out, xs, out=out)
+            np.add(out, c, out=out)
+    return result[()] if result.ndim == 0 else result
 
 
 def _laguerre7(x):

@@ -173,13 +173,14 @@ def test_horner_blocks_match_unblocked_loop_bitwise(n):
     assert _horner(_L7_COEFFS, xs).tobytes() == _horner_unblocked(_L7_COEFFS, xs).tobytes()
 
 
-def test_horner_blocks_keep_the_layout_of_a_transposed_input():
-    # 16385 x 17 points, as a corrected-quadrature LDI node matrix, read
+@pytest.mark.parametrize("rows", [5, 16385])
+def test_horner_blocks_keep_the_layout_of_a_transposed_input(rows):
+    # rows x 17 points, as a corrected-quadrature LDI node matrix, read
     # through a transpose: the result must still hold every block
-    xs = np.random.default_rng(4).uniform(-20.0, 20.0, (17, 16385)).T
+    xs = np.random.default_rng(4).uniform(-20.0, 20.0, (17, rows)).T
     result = _horner(_L7_D1_COEFFS, xs)
     expected = _horner_unblocked(_L7_D1_COEFFS, xs)
-    assert result.shape == (16385, 17)
+    assert result.shape == (rows, 17)
     assert result.flags.c_contiguous
     assert result.tobytes() == np.ascontiguousarray(expected).tobytes()
 
